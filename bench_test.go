@@ -1039,6 +1039,47 @@ func BenchmarkRoutePrefCH(b *testing.B) {
 	})
 }
 
+// BenchmarkLearn measures preference learning — Learner.Learn, 21
+// candidate preferences × up to 8 Algorithm 2 searches — on the
+// bench-world T-edge with the most stored fragments, on a Detached
+// fork of the hierarchy (the router's learning engine) versus plain
+// Dijkstra. The fork's private table customizes each candidate metric
+// on the first iteration only, as one learning phase does; a learner
+// that silently falls back to Dijkstra shows up as CH ≈ Dijkstra.
+func BenchmarkLearn(b *testing.B) {
+	w := benchWorld(b)
+	var paths []roadnet.Path
+	for _, e := range w.MustRouter().RegionGraph().Edges {
+		if e.Kind != region.TEdge || len(e.PathsFwd)+len(e.PathsRev) <= len(paths) {
+			continue
+		}
+		paths = paths[:0]
+		for _, set := range [][]region.PathInfo{e.PathsFwd, e.PathsRev} {
+			for _, pi := range set {
+				paths = append(paths, pi.Path)
+			}
+		}
+	}
+	if len(paths) == 0 {
+		b.Skip("no T-edge paths")
+	}
+	che := route.BuildCHEngine(w.Road, roadnet.TT, ch.Config{})
+	for _, bc := range []struct {
+		name string
+		l    *pref.Learner
+	}{
+		{"CH", pref.NewLearnerOn(che.Detached())},
+		{"Dijkstra", pref.NewLearner(w.Road)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bc.l.Learn(paths)
+			}
+		})
+	}
+}
+
 // BenchmarkAblationMu sweeps the Eq. 2 hyper-parameters.
 func BenchmarkAblationMu(b *testing.B) {
 	w := benchWorld(b)

@@ -56,9 +56,12 @@
 // baselines, the trajectory simulator and the experiment harness —
 // programs against internal/route.PathEngine, a pluggable backend.
 // route.Engine is plain Dijkstra (plus the paper's Algorithm 2);
-// route.CHEngine answers scalar fastest paths through a contraction
-// hierarchy (internal/ch) with shortcut unpacking and falls back to
-// Dijkstra for preference-constrained and custom-cost searches. Select
+// route.CHEngine answers every query family — scalar weights,
+// Algorithm 2 preference searches, custom costs — on a customizable
+// contraction hierarchy (internal/ch), one customized metric each.
+// Preference learning searches the same engine the router serves on,
+// through a detached fork whose candidate metrics never stay resident
+// beside the serving ones. Select
 // with l2r.Options{PathBackend: l2r.BackendCH} at build time,
 // l2r.ServeOptions{PathBackend: l2r.BackendCH} when serving a loaded
 // artifact, or l2rserve -path-engine ch.

@@ -430,10 +430,15 @@ func finishBuild(r *Router, regions []cluster.Region, paths []roadnet.Path, opt 
 	r.stats.TEdges = rg.TEdgeCount()
 	r.stats.BEdges = rg.BEdgeCount()
 
+	// Path engine: built before learning so the learner and B-edge
+	// materialization already search on the selected backend. With
+	// BackendCH the hierarchy is preprocessed exactly once here and
+	// shared by every Clone, DeepClone and serving fork of this router.
+	r.eng = newPathEngine(r.road, opt, &r.stats)
+
 	// Phase 2a: learn preferences for T-edges and regions (parallel).
 	start = time.Now()
-	r.learned = learnAll(r.road, rg, opt)
-	r.regionPrefs = learnRegions(r.road, rg, opt)
+	r.learned, r.regionPrefs = learnAll(r.eng, rg, opt)
 	r.stats.LearnTime = time.Since(start)
 	r.stats.LearnedPrefs = len(r.learned)
 
@@ -459,12 +464,6 @@ func finishBuild(r *Router, regions []cluster.Region, paths []roadnet.Path, opt 
 			delete(r.regionPrefs, id)
 		}
 	}
-
-	// Path engine: built before materialization so B-edge fastest-path
-	// construction already runs on the selected backend. With BackendCH
-	// the hierarchy is preprocessed exactly once here and shared by
-	// every Clone, DeepClone and serving fork of this router.
-	r.eng = newPathEngine(r.road, opt, &r.stats)
 
 	// Phase 3: materialize B-edge paths.
 	start = time.Now()
@@ -685,15 +684,55 @@ func matchAll(road *roadnet.Graph, idx *spatial.Index, ts []*traj.Trajectory, op
 	wg.Wait()
 }
 
-// learnRegions learns one intra-region preference per region from its
-// inner paths, preferring true local trips (Terminal) over segments of
-// journeys passing through.
-func learnRegions(road *roadnet.Graph, rg *region.Graph, opt Options) map[int]pref.Result {
-	type job struct {
-		id    int
-		paths []roadnet.Path
+// learnJob is one preference to learn: a T-edge or region ID and the
+// path set to learn it from.
+type learnJob struct {
+	id    int
+	paths []roadnet.Path
+}
+
+// terminalFirst picks a learning path set: terminal fragments — full
+// trips between exactly this region pair, or true local trips of a
+// region — carry its own routing preference undiluted, while fragments
+// of trajectories merely passing through mix in the preferences of
+// other region pairs. Two or more terminal fragments are trusted on
+// their own; a single one could be a noise trip, so it is pooled with
+// the pass-through fragments.
+func terminalFirst(terminal, others []roadnet.Path) []roadnet.Path {
+	if len(terminal) < 2 {
+		return append(terminal, others...)
 	}
-	var jobs []job
+	return terminal
+}
+
+// tedgeJobs lists one job per T-edge with evidence. T-edges whose path
+// sets span both directions are learned from the union.
+func tedgeJobs(rg *region.Graph) []learnJob {
+	var jobs []learnJob
+	for _, e := range rg.Edges {
+		if e.Kind != region.TEdge {
+			continue
+		}
+		var terminal, others []roadnet.Path
+		for _, set := range [][]region.PathInfo{e.PathsFwd, e.PathsRev} {
+			for _, pi := range set {
+				if pi.Terminal > 0 {
+					terminal = append(terminal, pi.Path)
+				} else {
+					others = append(others, pi.Path)
+				}
+			}
+		}
+		if ps := terminalFirst(terminal, others); len(ps) > 0 {
+			jobs = append(jobs, learnJob{id: e.ID, paths: ps})
+		}
+	}
+	return jobs
+}
+
+// regionJobs lists one intra-region job per region with inner paths.
+func regionJobs(rg *region.Graph) []learnJob {
+	var jobs []learnJob
 	for reg := 0; reg < rg.NumRegions(); reg++ {
 		var terminal, others []roadnet.Path
 		for _, ip := range rg.InnerPaths(reg) {
@@ -706,84 +745,40 @@ func learnRegions(road *roadnet.Graph, rg *region.Graph, opt Options) map[int]pr
 				others = append(others, ip.Path)
 			}
 		}
-		ps := terminal
-		if len(ps) < 2 {
-			ps = append(ps, others...)
-		}
-		if len(ps) > 0 {
-			jobs = append(jobs, job{id: reg, paths: ps})
+		if ps := terminalFirst(terminal, others); len(ps) > 0 {
+			jobs = append(jobs, learnJob{id: reg, paths: ps})
 		}
 	}
-	out := make(map[int]pref.Result, len(jobs))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	ch := make(chan job, len(jobs))
-	for _, j := range jobs {
-		ch <- j
-	}
-	close(ch)
-	for w := 0; w < opt.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			l := pref.NewLearner(road)
-			if opt.LearnMaxPaths > 0 {
-				l.MaxPaths = opt.LearnMaxPaths
-			}
-			for j := range ch {
-				res := l.Learn(j.paths)
-				mu.Lock()
-				out[j.id] = res
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	return out
+	return jobs
 }
 
-// learnAll learns a preference per T-edge, in parallel. T-edges whose
-// path sets span both directions are learned from the union.
-func learnAll(road *roadnet.Graph, rg *region.Graph, opt Options) map[int]pref.Result {
-	type job struct {
-		id    int
-		paths []roadnet.Path
+// learnEngine returns the engine preference learning searches on: a
+// Detached fork of a CCH engine, so the candidate metrics it customizes
+// live in a private table that dies with the learning phase instead of
+// staying resident beside the serving metrics, or a plain fork of any
+// other engine.
+func learnEngine(eng route.PathEngine) route.PathEngine {
+	if che, ok := eng.(*route.CHEngine); ok {
+		return che.Detached()
 	}
-	var jobs []job
-	for _, e := range rg.Edges {
-		if e.Kind != region.TEdge {
-			continue
-		}
-		// Terminal fragments — full trips between exactly this region
-		// pair — carry the pair's own routing preference undiluted;
-		// fragments of trajectories merely passing through mix in the
-		// preferences of other region pairs. Learn from terminal
-		// fragments whenever enough exist.
-		var terminal, others []roadnet.Path
-		for _, set := range [][]region.PathInfo{e.PathsFwd, e.PathsRev} {
-			for _, pi := range set {
-				if pi.Terminal > 0 {
-					terminal = append(terminal, pi.Path)
-				} else {
-					others = append(others, pi.Path)
-				}
-			}
-		}
-		// Two or more terminal fragments are trusted on their own; a
-		// single one could be a noise trip, so it is pooled with the
-		// pass-through fragments.
-		ps := terminal
-		if len(ps) < 2 {
-			ps = append(ps, others...)
-		}
-		if len(ps) > 0 {
-			jobs = append(jobs, job{id: e.ID, paths: ps})
-		}
-	}
+	return eng.Fork()
+}
+
+// learnAll learns every T-edge and every region preference of rg on
+// one learning engine over eng, so each candidate metric is customized
+// at most once per build or rebuild.
+func learnAll(eng route.PathEngine, rg *region.Graph, opt Options) (edges, regions map[int]pref.Result) {
+	le := learnEngine(eng)
+	return learnJobs(le, tedgeJobs(rg), opt), learnJobs(le, regionJobs(rg), opt)
+}
+
+// learnJobs learns the jobs on opt.Workers goroutines, each with its
+// own learner on a fork of eng.
+func learnJobs(eng route.PathEngine, jobs []learnJob, opt Options) map[int]pref.Result {
 	out := make(map[int]pref.Result, len(jobs))
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	ch := make(chan job, len(jobs))
+	ch := make(chan learnJob, len(jobs))
 	for _, j := range jobs {
 		ch <- j
 	}
@@ -792,7 +787,7 @@ func learnAll(road *roadnet.Graph, rg *region.Graph, opt Options) map[int]pref.R
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			l := pref.NewLearner(road)
+			l := pref.NewLearnerOn(eng.Fork())
 			if opt.LearnMaxPaths > 0 {
 				l.MaxPaths = opt.LearnMaxPaths
 			}

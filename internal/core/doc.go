@@ -17,7 +17,11 @@
 // procedure, reporting the evidence behind the answer (stored
 // trajectory, learned preference, transferred preference, fastest-path
 // fallback). The shortest-path primitive underneath is pluggable: see
-// Options.PathBackend and internal/route.PathEngine.
+// Options.PathBackend and internal/route.PathEngine. Build constructs
+// the router's engine before learning, and every learning phase —
+// Build, Retransduce, Ingest, EnableMultiPreferences — searches on it
+// (on a CCH, through a route.CHEngine Detached fork, so the candidate
+// metrics learning scores stay off the serving metric table).
 //
 // # Concurrency and cloning
 //

@@ -80,7 +80,7 @@ func (r *Router) Ingest(ts []*traj.Trajectory, opt IngestOptions) IngestStats {
 	st.RebuildRecommended = st.StalenessRatio() > opt.RebuildThreshold
 
 	// Re-learn preferences for the touched edges only.
-	learner := pref.NewLearner(r.road)
+	learner := pref.NewLearnerOn(learnEngine(r.eng))
 	relearn := st.TouchedEdges
 	if opt.MaxRelearn > 0 && len(relearn) > opt.MaxRelearn {
 		relearn = relearn[:opt.MaxRelearn]

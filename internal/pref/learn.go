@@ -11,10 +11,13 @@ import (
 // truth, then test each candidate slave road-condition feature and keep
 // the one that improves similarity the most (or none).
 //
-// A Learner is not safe for concurrent use because it owns a route.Engine.
+// Every candidate path is an Algorithm 2 search on the Learner's
+// route.PathEngine: its own Dijkstra engine (NewLearner) or a fork of
+// the engine a router serves on (NewLearnerOn). A Learner is not safe
+// for concurrent use because that engine fork owns per-query state.
 type Learner struct {
 	g   *roadnet.Graph
-	eng *route.Engine
+	eng route.PathEngine
 	// MaxPaths caps how many paths of a T-edge's path set are used for
 	// learning; 0 means all. Large T-edges carry hundreds of paths and
 	// the cap keeps offline time linear in the number of T-edges.
@@ -27,11 +30,20 @@ type Learner struct {
 	MinImprovement float64
 }
 
-// NewLearner returns a Learner over g with default settings.
+// NewLearner returns a Learner over g with default settings, searching
+// with plain Dijkstra.
 func NewLearner(g *roadnet.Graph) *Learner {
+	return NewLearnerOn(route.NewEngine(g))
+}
+
+// NewLearnerOn returns a Learner with default settings that searches on
+// eng, which it owns from then on: pass a fork, one per goroutine. On a
+// contraction hierarchy pass a route.CHEngine Detached fork, so the
+// candidate metrics learning customizes stay off the serving table.
+func NewLearnerOn(eng route.PathEngine) *Learner {
 	return &Learner{
-		g:              g,
-		eng:            route.NewEngine(g),
+		g:              eng.Graph(),
+		eng:            eng,
 		MaxPaths:       8,
 		Slaves:         CandidateSlaves(),
 		MinImprovement: 1e-9,

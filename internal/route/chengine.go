@@ -120,11 +120,17 @@ func (t *metricTable) ensure(k metricKey, cost func(roadnet.EdgeID) float64) (*c
 // cost hashing. Customizing a new metric happens at most once per key,
 // serialized on the table; queries never block on it unless they are
 // the first to need that key.
+//
+// A Detached fork reads the shared table but customizes every scalar or
+// preference metric it lacks into a private table of its own, so a
+// burst of one-off metrics (preference learning scores 30 candidates)
+// never becomes resident in the table serving keeps alive.
 type CHEngine struct {
-	g    *roadnet.Graph
-	w    roadnet.Weight // base weight, pre-customized at build time
-	topo *ch.Topology
-	tab  *metricTable
+	g      *roadnet.Graph
+	w      roadnet.Weight // base weight, pre-customized at build time
+	topo   *ch.Topology
+	tab    *metricTable // table new metrics are customized into
+	shared *metricTable // Detached forks: the parent's table, read first
 
 	q       *ch.MetricQuery // lazy per-fork query scratch
 	costBuf []float64       // lazy per-fork custom-cost staging buffer
@@ -159,15 +165,25 @@ func (c *CHEngine) Shortcuts() int { return c.topo.Shortcuts() }
 // Weight returns the base weight customized at construction.
 func (c *CHEngine) Weight() roadnet.Weight { return c.w }
 
-// Customizations returns how many metric customizations the shared
-// table has run since construction (including the base metric).
+// Customizations returns how many metric customizations the engine's
+// table has run since construction (including the base metric); on a
+// Detached fork, how many its private table has run.
 func (c *CHEngine) Customizations() uint64 { return c.tab.customized.Load() }
 
 // Fork implements PathEngine: the returned engine shares the topology
-// and the customized-metric table; query state is allocated on first
+// and the customized-metric table(s); query state is allocated on first
 // use.
 func (c *CHEngine) Fork() PathEngine {
-	return &CHEngine{g: c.g, w: c.w, topo: c.topo, tab: c.tab}
+	return &CHEngine{g: c.g, w: c.w, topo: c.topo, tab: c.tab, shared: c.shared}
+}
+
+// Detached returns a fork that reads c's scalar and preference metrics
+// but customizes any it lacks into a private table, leaving c's table
+// untouched. The private table is shared by the fork's own Forks and
+// dies with them. Use it for bulk work whose metrics serving never
+// needs, such as preference learning.
+func (c *CHEngine) Detached() *CHEngine {
+	return &CHEngine{g: c.g, w: c.w, topo: c.topo, tab: newMetricTable(c.topo), shared: c.tab}
 }
 
 func (c *CHEngine) query() *ch.MetricQuery {
@@ -209,7 +225,7 @@ func (c *CHEngine) scalarCost(w roadnet.Weight, mask SlaveMask) func(roadnet.Edg
 // ingest path so queries never pay customization inline.
 func (c *CHEngine) Prepare(w roadnet.Weight, mask SlaveMask) bool {
 	k := metricKey{w: w, mask: mask}
-	if c.tab.get(k) != nil {
+	if c.lookup(k) != nil {
 		// Warm: skip building the cost function — for masked metrics
 		// scalarCost precomputes a per-vertex restrict table, far more
 		// than a prepare scan over many already-customized edges should
@@ -220,9 +236,20 @@ func (c *CHEngine) Prepare(w roadnet.Weight, mask SlaveMask) bool {
 	return ran
 }
 
+// lookup returns the already customized metric for k, from the shared
+// table of a Detached fork first, or nil.
+func (c *CHEngine) lookup(k metricKey) *ch.Metric {
+	if c.shared != nil {
+		if m := c.shared.get(k); m != nil {
+			return m
+		}
+	}
+	return c.tab.get(k)
+}
+
 func (c *CHEngine) metric(w roadnet.Weight, mask SlaveMask) *ch.Metric {
 	k := metricKey{w: w, mask: mask}
-	if m := c.tab.get(k); m != nil {
+	if m := c.lookup(k); m != nil {
 		return m
 	}
 	m, _ := c.tab.ensure(k, c.scalarCost(w, mask))

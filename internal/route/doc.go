@@ -21,11 +21,13 @@
 // once. Two implementations ship:
 //
 //   - Engine: plain Dijkstra plus Algorithm 2 (the default).
-//   - CHEngine: scalar fastest-path queries answered through a
-//     contraction hierarchy (internal/ch) with shortcut unpacking;
-//     searches the hierarchy cannot express — preference-constrained
-//     Algorithm 2, custom edge costs, other scalar weights — fall back
-//     to an embedded Dijkstra engine transparently.
+//   - CHEngine: every query family on a customizable contraction
+//     hierarchy (internal/ch): one metric-independent topology, one
+//     customized metric per scalar weight, preference (weight, slave
+//     mask) or custom cost function, kept in a table all forks share.
+//     A Detached fork reads that table but customizes the metrics it
+//     lacks privately; preference learning runs on one, so its
+//     candidate metrics never stay resident beside the serving ones.
 //
 // # Concurrency contract
 //

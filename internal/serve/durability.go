@@ -118,7 +118,17 @@ func NewDurableEngine(r *core.Router, opt Options) (*Engine, error) {
 		if opt.recoverHold != nil {
 			<-opt.recoverHold
 		}
+		useCH := e.opt.PathBackend == core.BackendCH
+		if useCH {
+			// Checkpoints, like all artifacts, carry no hierarchy;
+			// rebuild it before replay (no-op when base already has
+			// one), so replayed batches relearn on it too.
+			base.EnableCH(e.opt.CH)
+		}
 		for _, b := range batches {
+			if opt.replayHook != nil {
+				opt.replayHook(base)
+			}
 			io := e.opt.Ingest
 			io.SkipMapMatching = b.SkipMapMatching
 			base.Ingest(b.Trajs, io)
@@ -136,11 +146,10 @@ func NewDurableEngine(r *core.Router, opt Options) (*Engine, error) {
 		// maintenance accumulator re-seeds from them); publishInitial's
 		// readiness flip publishes this write to waiting readers.
 		d.replayed = batches
-		if e.opt.PathBackend == core.BackendCH {
-			// Checkpoints, like all artifacts, carry no hierarchy;
-			// rebuild it once before traffic (no-op when base already
-			// has one).
-			base.EnableCH(e.opt.CH)
+		if useCH {
+			// Customize the metrics replayed preferences route on
+			// before traffic.
+			base.PrepareMetrics()
 		}
 		e.publishInitial(base)
 	}

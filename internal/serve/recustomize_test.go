@@ -100,3 +100,43 @@ func TestDurableRecoveryRecustomizesHierarchy(t *testing.T) {
 	}
 	requireSameAnswers(t, "CH recovery", e2, ref, sampleODs(live, 40))
 }
+
+// TestDurableRecoveryReplaysOnHierarchy recovers a CH-backed engine
+// from a checkpoint plus a WAL tail. Checkpoints carry no hierarchy, so
+// recovery must rebuild it before replay: every tail batch relearns on
+// the hierarchy, and the recovered engine answers exactly like the
+// engine that crashed.
+func TestDurableRecoveryReplaysOnHierarchy(t *testing.T) {
+	base, live := buildServeWorld(t, 19, 300)
+	dir := t.TempDir()
+	// 27 batches of 4 with a checkpoint every 5 batches: a 2-record tail.
+	batches := matchedBatches(live, 4)[:27]
+	opt := Options{WALDir: dir, CheckpointEvery: 20, CacheSize: -1, PathBackend: core.BackendCH}
+
+	e1 := mustDurable(t, base.DeepClone(), opt)
+	for _, b := range batches {
+		e1.IngestMatched(b)
+	}
+	if e1.Stats().Durability.Checkpoints == 0 {
+		t.Fatal("no automatic checkpoint ran")
+	}
+	// Crash: no Close, no final Checkpoint.
+
+	replays := 0
+	opt.replayHook = func(r *core.Router) {
+		replays++
+		if r.PathBackend() != core.BackendCH {
+			t.Errorf("replay %d ran on %v, want the hierarchy", replays, r.PathBackend())
+		}
+	}
+	e2 := mustDurable(t, base.DeepClone(), opt)
+	defer e2.Close()
+	d := e2.Stats().Durability
+	if !d.RecoveredFromCheckpoint || d.ReplayedRecords == 0 {
+		t.Fatalf("recovery facts: %+v, want a checkpoint plus a WAL tail", d)
+	}
+	if replays != d.ReplayedRecords {
+		t.Fatalf("replay hook saw %d batches, want %d", replays, d.ReplayedRecords)
+	}
+	requireSameAnswers(t, "checkpoint+tail recovery on CH", e2, e1, sampleODs(live, 40))
+}

@@ -94,6 +94,9 @@ type Options struct {
 	// recovery starts applying batches, making the recovering window
 	// observable deterministically.
 	recoverHold chan struct{}
+	// replayHook, when set (tests only), sees the recovering base
+	// router before each WAL batch replays onto it.
+	replayHook func(*core.Router)
 }
 
 func (o Options) withDefaults() Options {
