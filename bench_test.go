@@ -276,11 +276,11 @@ func BenchmarkOffline(b *testing.B) {
 
 // --- Ablations -------------------------------------------------------------
 
-// BenchmarkAblationSolver compares the two Eq. 3 solvers the paper cites.
-func BenchmarkAblationSolver(b *testing.B) {
+// BenchmarkTransfer measures one transduction (Eq. 3): transfer.Run
+// from the bench world's learned T-edges to every other region edge.
+func BenchmarkTransfer(b *testing.B) {
 	w := benchWorld(b)
-	r := w.MustRouter()
-	rg := r.RegionGraph()
+	rg := w.MustRouter().RegionGraph()
 	var labeled []transfer.Labeled
 	var targets []int
 	for _, e := range rg.Edges {
@@ -293,21 +293,10 @@ func BenchmarkAblationSolver(b *testing.B) {
 	if len(labeled) == 0 || len(targets) == 0 {
 		b.Skip("degenerate region graph")
 	}
-	for _, solver := range []struct {
-		name string
-		s    transfer.Solver
-	}{{"CG", transfer.CG}, {"Jacobi", transfer.Jacobi}, {"GaussSeidel", transfer.GaussSeidel}} {
-		solver := solver
-		b.Run(solver.name, func(b *testing.B) {
-			cfg := transfer.DefaultConfig()
-			cfg.Solver = solver.s
-			if solver.s != transfer.CG {
-				cfg.MaxIter = 20000
-			}
-			for i := 0; i < b.N; i++ {
-				transfer.Run(rg, labeled, targets, cfg)
-			}
-		})
+	cfg := transfer.DefaultConfig()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		transfer.Run(rg, labeled, targets, cfg)
 	}
 }
 

@@ -64,6 +64,8 @@ type Matcher struct {
 	g   *roadnet.Graph
 	idx *spatial.Index
 	eng *route.Engine
+
+	tails []roadnet.VertexID // advance's search targets
 }
 
 // NewMatcher returns a Matcher over g using the given spatial index.
@@ -71,144 +73,88 @@ func NewMatcher(g *roadnet.Graph, idx *spatial.Index, cfg Config) *Matcher {
 	return &Matcher{cfg: cfg.withDefaults(), g: g, idx: idx, eng: route.NewEngine(g)}
 }
 
-type candidate struct {
-	cand spatial.EdgeCandidate
-	// logEmit is the log emission probability.
+// tieSlack is the cost tolerance of the via reconstruction: a
+// predecessor link u→v is taken when cost(u)+len(u,v) is within it of
+// cost(v). Each search runs this far past its farthest target so that
+// every vertex the rule can pick is settled.
+const tieSlack = 1e-6
+
+// cell is one lattice cell: a candidate edge with its log emission
+// probability, the Viterbi score, the back pointer into the previous
+// level, and the via path from the previous candidate's edge head to
+// this candidate's edge tail (exclusive of both edges).
+type cell struct {
+	cand    spatial.EdgeCandidate
 	logEmit float64
+	score   float64
+	prev    int
+	via     roadnet.Path
+}
+
+// level returns the lattice level for GPS record p — its nearest
+// candidate edges, unscored — or nil when no road is within
+// CandidateRadiusM.
+func (m *Matcher) level(p geo.Point) []cell {
+	cands := m.idx.EdgesWithin(p, m.cfg.CandidateRadiusM)
+	if len(cands) > m.cfg.MaxCandidates {
+		cands = cands[:m.cfg.MaxCandidates]
+	}
+	if len(cands) == 0 {
+		return nil
+	}
+	level := make([]cell, len(cands))
+	for i, c := range cands {
+		z := c.Dist / m.cfg.SigmaM
+		level[i] = cell{cand: c, logEmit: -0.5 * z * z, score: math.Inf(-1), prev: -1}
+	}
+	return level
 }
 
 // Match aligns the GPS points with a road-network path. It returns nil
 // when no consistent alignment exists (e.g. all records are far from any
 // road).
 func (m *Matcher) Match(points []geo.Point) roadnet.Path {
-	pts := m.thin(points)
-	if len(pts) == 0 {
-		return nil
-	}
-
-	// Candidate lattice.
-	lattice := make([][]candidate, 0, len(pts))
-	kept := make([]geo.Point, 0, len(pts))
-	for _, p := range pts {
-		cands := m.idx.EdgesWithin(p, m.cfg.CandidateRadiusM)
-		if len(cands) == 0 {
-			continue // skip unmatched records, as Newson & Krumm do
+	// Candidate lattice, scored level by level (Viterbi). Records with
+	// no road nearby are skipped, as Newson & Krumm do; once a level
+	// scores all -inf every later one would too, so the decode ends at
+	// the last level with a finite score.
+	var lattice [][]cell
+	var lastP geo.Point
+	for _, p := range m.thin(points) {
+		level := m.level(p)
+		if level == nil {
+			continue
 		}
-		if len(cands) > m.cfg.MaxCandidates {
-			cands = cands[:m.cfg.MaxCandidates]
-		}
-		level := make([]candidate, len(cands))
-		for i, c := range cands {
-			z := c.Dist / m.cfg.SigmaM
-			level[i] = candidate{cand: c, logEmit: -0.5 * z * z}
+		if len(lattice) == 0 {
+			for i := range level {
+				level[i].score = level[i].logEmit
+			}
+		} else if !m.advance(lattice[len(lattice)-1], level, lastP.Dist(p)) {
+			break
 		}
 		lattice = append(lattice, level)
-		kept = append(kept, p)
+		lastP = p
 	}
 	if len(lattice) == 0 {
 		return nil
 	}
 	if len(lattice) == 1 {
-		c := lattice[0][0].cand
-		e := m.g.Edge(c.Edge)
+		e := m.g.Edge(lattice[0][0].cand.Edge)
 		return roadnet.Path{e.From, e.To}
 	}
 
-	// Viterbi.
-	type cell struct {
-		score float64
-		prev  int
-		// viaPath is the vertex path from the previous candidate's edge
-		// head to this candidate's edge tail (exclusive of both edges).
-		via roadnet.Path
-	}
-	prev := make([]cell, len(lattice[0]))
-	for i, c := range lattice[0] {
-		prev[i] = cell{score: c.logEmit, prev: -1}
-	}
-	back := make([][]cell, len(lattice))
-	back[0] = prev
-
-	for t := 1; t < len(lattice); t++ {
-		cur := make([]cell, len(lattice[t]))
-		straight := kept[t-1].Dist(kept[t])
-		bound := m.cfg.RouteFactor*straight + m.cfg.RouteSlackM
-
-		// One bounded Dijkstra per previous candidate, reused across all
-		// current candidates.
-		costs := make([]map[roadnet.VertexID]float64, len(lattice[t-1]))
-		paths := make([]map[roadnet.VertexID]roadnet.Path, len(lattice[t-1]))
-		for j, pc := range lattice[t-1] {
-			if back[t-1][j].score == math.Inf(-1) {
-				continue
-			}
-			head := m.g.Edge(pc.cand.Edge).To
-			costs[j], paths[j] = m.boundedWithPaths(head, bound)
-		}
-
-		for i, cc := range lattice[t] {
-			best := math.Inf(-1)
-			bestPrev := -1
-			var bestVia roadnet.Path
-			for j, pc := range lattice[t-1] {
-				if back[t-1][j].score == math.Inf(-1) || costs[j] == nil {
-					continue
-				}
-				routeDist, via, ok := m.routeDistance(pc.cand, cc.cand, costs[j], paths[j])
-				if !ok {
-					continue
-				}
-				logTrans := -math.Abs(routeDist-straight) / m.cfg.BetaM
-				s := back[t-1][j].score + logTrans + cc.logEmit
-				if s > best {
-					best, bestPrev, bestVia = s, j, via
-				}
-			}
-			cur[i] = cell{score: best, prev: bestPrev, via: bestVia}
-		}
-		back[t] = cur
-	}
-
-	// Find the last level with any finite score, then backtrack.
+	// Backtrack from the best cell of the last level.
 	last := len(lattice) - 1
-	for last > 0 {
-		ok := false
-		for _, c := range back[last] {
-			if c.score > math.Inf(-1) {
-				ok = true
-				break
-			}
-		}
-		if ok {
-			break
-		}
-		last--
-	}
 	bestI, bestS := 0, math.Inf(-1)
-	for i, c := range back[last] {
+	for i, c := range lattice[last] {
 		if c.score > bestS {
 			bestI, bestS = i, c.score
 		}
 	}
-	if bestS == math.Inf(-1) {
-		return nil
-	}
-
-	// Reconstruct the edge/path chain.
-	type step struct {
-		edge roadnet.EdgeID
-		via  roadnet.Path
-	}
-	var steps []step
-	for t, i := last, bestI; t >= 0 && i >= 0; {
-		c := back[t][i]
-		steps = append(steps, step{edge: lattice[t][i].cand.Edge, via: c.via})
-		i = c.prev
-		t--
-	}
-	// Reverse.
-	for a, b := 0, len(steps)-1; a < b; a, b = a+1, b-1 {
-		steps[a], steps[b] = steps[b], steps[a]
+	steps := make([]*cell, len(lattice))
+	for t, i := last, bestI; t >= 0 && i >= 0; t-- {
+		steps[t] = &lattice[t][i]
+		i = steps[t].prev
 	}
 
 	var path roadnet.Path
@@ -219,16 +165,16 @@ func (m *Matcher) Match(points []geo.Point) roadnet.Path {
 	}
 	lastEdge := roadnet.NoEdge
 	for _, s := range steps {
-		if s.edge == lastEdge && len(s.via) == 0 {
+		if s.cand.Edge == lastEdge && len(s.via) == 0 {
 			continue // consecutive records matched to the same edge
 		}
-		e := m.g.Edge(s.edge)
+		e := m.g.Edge(s.cand.Edge)
 		for _, v := range s.via {
 			appendVertex(v)
 		}
 		appendVertex(e.From)
 		appendVertex(e.To)
-		lastEdge = s.edge
+		lastEdge = s.cand.Edge
 	}
 	if len(path) < 2 {
 		return nil
@@ -236,89 +182,115 @@ func (m *Matcher) Match(points []geo.Point) roadnet.Path {
 	return path
 }
 
-// routeDistance computes the network distance between two candidate
-// projection points, plus the intermediate vertex path from the first
-// candidate's edge head to the second candidate's edge tail.
-func (m *Matcher) routeDistance(a, b spatial.EdgeCandidate, costs map[roadnet.VertexID]float64, paths map[roadnet.VertexID]roadnet.Path) (float64, roadnet.Path, bool) {
-	ea, eb := m.g.Edge(a.Edge), m.g.Edge(b.Edge)
-	if a.Edge == b.Edge {
-		if b.Frac >= a.Frac {
-			return (b.Frac - a.Frac) * ea.Length, nil, true
+// advance scores level cur against the previous level prev, whose
+// records lie straight metres apart: each cell of cur takes its best
+// predecessor (the first on ties), its score and its via. It runs one
+// bounded search per live cell of prev, stopped once every tail of cur
+// is settled. It reports whether any cell of cur got a finite score.
+// Match and OnlineMatcher share it, which keeps them identical.
+func (m *Matcher) advance(prev, cur []cell, straight float64) bool {
+	bound := m.cfg.RouteFactor*straight + m.cfg.RouteSlackM
+	for j := range prev {
+		pc := &prev[j]
+		if pc.score == math.Inf(-1) {
+			continue
 		}
-		// Going backwards on the same edge requires a loop; treat like
-		// distinct edges below via the head-to-tail route.
-	}
-	tailDist := (1 - a.Frac) * ea.Length
-	headDist := b.Frac * eb.Length
-	d, ok := costs[eb.From]
-	if !ok {
-		return 0, nil, false
-	}
-	via := paths[eb.From]
-	if eb.From == ea.To {
-		via = nil
-	}
-	return tailDist + d + headDist, via, true
-}
-
-// boundedWithPaths runs a bounded Dijkstra from s over distance and also
-// reconstructs, for each settled vertex, the intermediate vertex chain
-// (excluding s itself). Trajectory gaps are short so the per-step maps
-// stay small.
-func (m *Matcher) boundedWithPaths(s roadnet.VertexID, bound float64) (map[roadnet.VertexID]float64, map[roadnet.VertexID]roadnet.Path) {
-	costs := m.eng.BoundedCosts(s, roadnet.DI, bound)
-	paths := make(map[roadnet.VertexID]roadnet.Path, len(costs))
-	// Reconstruct greedily: for each settled vertex walk best
-	// predecessors. Simpler: rerun a tiny Dijkstra over the settled set.
-	// The settled set is small, so an O(k²)-ish reconstruction is fine;
-	// we rebuild predecessor links with one pass over the induced edges.
-	type pred struct {
-		v roadnet.VertexID
-	}
-	preds := make(map[roadnet.VertexID]pred, len(costs))
-	for v, dv := range costs {
-		for _, eid := range m.g.In(v) {
-			e := m.g.Edge(eid)
-			du, ok := costs[e.From]
+		m.search(pc.cand, cur, bound)
+		for i := range cur {
+			cc := &cur[i]
+			routeDist, ok := m.routeDistance(pc.cand, cc.cand)
 			if !ok {
 				continue
 			}
-			if math.Abs(du+e.Length-dv) < 1e-6 {
-				preds[v] = pred{v: e.From}
-				break
+			logTrans := -math.Abs(routeDist-straight) / m.cfg.BetaM
+			if s := pc.score + logTrans + cc.logEmit; s > cc.score {
+				cc.score, cc.prev, cc.via = s, j, m.via(pc.cand, cc.cand)
 			}
 		}
 	}
-	for v := range costs {
-		if v == s {
-			continue
+	for _, c := range cur {
+		if c.score > math.Inf(-1) {
+			return true
 		}
-		var chain roadnet.Path
-		u := v
-		for u != s {
-			p, ok := preds[u]
-			if !ok {
-				chain = nil
-				break
-			}
-			u = p.v
-			if u != s {
-				chain = append(chain, u)
-			}
-		}
-		if chain == nil {
-			paths[v] = roadnet.Path{}
-			continue
-		}
-		for a, b := 0, len(chain)-1; a < b; a, b = a+1, b-1 {
-			chain[a], chain[b] = chain[b], chain[a]
-		}
-		// chain holds intermediates s→v exclusive; prepend s's successor
-		// ordering is already correct.
-		paths[v] = append(roadnet.Path{s}, chain...)
 	}
-	paths[s] = roadnet.Path{}
-	return costs, paths
+	return false
+}
+
+// search runs the bounded search from a's edge head that routeDistance
+// and via read: it stops once the edge tails of every cell of to are
+// settled (plus tieSlack), or at bound.
+func (m *Matcher) search(a spatial.EdgeCandidate, to []cell, bound float64) {
+	m.tails = m.tails[:0]
+	for _, c := range to {
+		m.tails = append(m.tails, m.g.Edge(c.cand.Edge).From)
+	}
+	m.eng.SettleTargets(m.g.Edge(a.Edge).To, roadnet.DI, m.tails, tieSlack, bound)
+}
+
+// routeDistance returns the network distance between two candidate
+// projection points. Unless b lies ahead of a on the same edge, it
+// reads the last search, which must have run from a.
+func (m *Matcher) routeDistance(a, b spatial.EdgeCandidate) (float64, bool) {
+	ea, eb := m.g.Edge(a.Edge), m.g.Edge(b.Edge)
+	if a.Edge == b.Edge && b.Frac >= a.Frac {
+		return (b.Frac - a.Frac) * ea.Length, true
+	}
+	// Going backwards on the same edge requires a loop; it is routed
+	// head to tail like two distinct edges.
+	d, ok := m.eng.SettledCost(eb.From)
+	if !ok {
+		return 0, false
+	}
+	tailDist := (1 - a.Frac) * ea.Length
+	headDist := b.Frac * eb.Length
+	return tailDist + d + headDist, true
+}
+
+// via returns the vertices between a's edge head and b's edge tail on
+// the route of routeDistance, read from the same search. The chain
+// starts at a's head, except that it is nil when b lies ahead of a on
+// the same edge or b's tail is a's head, and empty (not {head}) when
+// the route has no intermediate vertex: Match's same-edge skip relies
+// on that, or GPS jitter backwards along one edge would become a
+// U-turn. Each vertex's predecessor is the tail of its first in-edge
+// from a settled vertex u with cost(u)+len = cost(v) within tieSlack.
+func (m *Matcher) via(a, b spatial.EdgeCandidate) roadnet.Path {
+	s, v := m.g.Edge(a.Edge).To, m.g.Edge(b.Edge).From
+	if a.Edge == b.Edge && b.Frac >= a.Frac || v == s {
+		return nil
+	}
+	var chain roadnet.Path // intermediates, v-side first
+	for u := v; u != s; {
+		p, ok := m.pred(u)
+		if !ok {
+			return roadnet.Path{}
+		}
+		if u = p; u != s {
+			chain = append(chain, u)
+		}
+	}
+	if chain == nil {
+		return roadnet.Path{}
+	}
+	out := make(roadnet.Path, 0, len(chain)+1)
+	out = append(out, s)
+	for i := len(chain) - 1; i >= 0; i-- {
+		out = append(out, chain[i])
+	}
+	return out
+}
+
+// pred returns v's predecessor on the last search's shortest-path
+// tree, by via's rule.
+func (m *Matcher) pred(v roadnet.VertexID) (roadnet.VertexID, bool) {
+	dv, _ := m.eng.SettledCost(v)
+	for _, eid := range m.g.In(v) {
+		e := m.g.Edge(eid)
+		if du, ok := m.eng.SettledCost(e.From); ok && math.Abs(du+e.Length-dv) < tieSlack {
+			return e.From, true
+		}
+	}
+	return 0, false
 }
 
 // thin drops records closer than MinSpacingM to their predecessor.

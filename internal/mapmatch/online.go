@@ -7,17 +7,6 @@ import (
 	"repro/internal/roadnet"
 )
 
-// onlineCell is one lattice cell retained by the incremental decoder:
-// the candidate with its emission score, the Viterbi score, the back
-// pointer into the previous retained level, and the via path from the
-// previous candidate's edge head to this candidate's edge tail.
-type onlineCell struct {
-	cand  candidate
-	score float64
-	prev  int
-	via   roadnet.Path
-}
-
 // OnlineMatcher decodes the map-matching HMM incrementally: points are
 // observed one at a time, the candidate lattice is extended level by
 // level, and the prefix of the decode that no future observation can
@@ -45,7 +34,7 @@ type OnlineMatcher struct {
 
 	// Retained (uncommitted) lattice suffix. lastP is the kept point
 	// of the newest retained level; total counts levels ever appended.
-	levels    [][]onlineCell
+	levels    [][]cell
 	lastP     geo.Point
 	total     int
 	firstEdge roadnet.EdgeID // first candidate of the first level
@@ -89,77 +78,25 @@ func (o *OnlineMatcher) observeKept(p geo.Point) {
 		// same answer.
 		return
 	}
-	cands := o.m.idx.EdgesWithin(p, o.m.cfg.CandidateRadiusM)
-	if len(cands) == 0 {
+	level := o.m.level(p)
+	if level == nil {
 		return // skip unmatched records, as Newson & Krumm do
 	}
-	if len(cands) > o.m.cfg.MaxCandidates {
-		cands = cands[:o.m.cfg.MaxCandidates]
-	}
-	level := make([]onlineCell, len(cands))
-	for i, c := range cands {
-		z := c.Dist / o.m.cfg.SigmaM
-		level[i] = onlineCell{
-			cand:  candidate{cand: c, logEmit: -0.5 * z * z},
-			score: math.Inf(-1),
-			prev:  -1,
-		}
-	}
 	if o.total == 0 {
-		o.firstEdge = cands[0].Edge
+		o.firstEdge = level[0].cand.Edge
 	}
 	o.total++
 
 	if len(o.levels) == 0 {
 		for i := range level {
-			level[i].score = level[i].cand.logEmit
+			level[i].score = level[i].logEmit
 		}
 		o.levels = append(o.levels, level)
 		o.lastP = p
 		return
 	}
 
-	prev := o.levels[len(o.levels)-1]
-	straight := o.lastP.Dist(p)
-	bound := o.m.cfg.RouteFactor*straight + o.m.cfg.RouteSlackM
-
-	// One bounded Dijkstra per previous candidate, reused across all
-	// current candidates — identical to the offline inner loop.
-	costs := make([]map[roadnet.VertexID]float64, len(prev))
-	paths := make([]map[roadnet.VertexID]roadnet.Path, len(prev))
-	for j, pc := range prev {
-		if pc.score == math.Inf(-1) {
-			continue
-		}
-		head := o.m.g.Edge(pc.cand.cand.Edge).To
-		costs[j], paths[j] = o.m.boundedWithPaths(head, bound)
-	}
-
-	alive := false
-	for i := range level {
-		best := math.Inf(-1)
-		bestPrev := -1
-		var bestVia roadnet.Path
-		for j, pc := range prev {
-			if pc.score == math.Inf(-1) || costs[j] == nil {
-				continue
-			}
-			routeDist, via, ok := o.m.routeDistance(pc.cand.cand, level[i].cand.cand, costs[j], paths[j])
-			if !ok {
-				continue
-			}
-			logTrans := -math.Abs(routeDist-straight) / o.m.cfg.BetaM
-			s := pc.score + logTrans + level[i].cand.logEmit
-			if s > best {
-				best, bestPrev, bestVia = s, j, via
-			}
-		}
-		level[i].score, level[i].prev, level[i].via = best, bestPrev, bestVia
-		if best > math.Inf(-1) {
-			alive = true
-		}
-	}
-	if !alive {
+	if !o.m.advance(o.levels[len(o.levels)-1], level, o.lastP.Dist(p)) {
 		o.dead = true
 		return
 	}
@@ -222,7 +159,7 @@ func (o *OnlineMatcher) emitChain(level, idx int) {
 	}
 	for l := 0; l <= level; l++ {
 		c := o.levels[l][chain[l]]
-		o.emitStep(c.cand.cand.Edge, c.via)
+		o.emitStep(c.cand.Edge, c.via)
 	}
 }
 

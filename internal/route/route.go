@@ -25,6 +25,7 @@ type Engine struct {
 	visited []uint32 // epoch marks; dist/parent valid iff visited[v]==epoch
 	settled []uint32
 	epoch   uint32
+	pending []roadnet.VertexID // SettleTargets' unsettled targets
 
 	heap *container.IndexedMinHeap
 
@@ -251,27 +252,51 @@ func (e *Engine) ReverseRouteUntil(d roadnet.VertexID, w roadnet.Weight, stop fu
 	return nil, math.Inf(1), false
 }
 
-// BoundedCosts runs Dijkstra from s under weight w, stopping once all
-// remaining queue entries exceed bound, and returns the cost of every
-// vertex settled within the bound. Map matching uses it to compute
-// network distances between nearby candidate points without exploring
-// the whole graph.
-func (e *Engine) BoundedCosts(s roadnet.VertexID, w roadnet.Weight, bound float64) map[roadnet.VertexID]float64 {
+// SettleTargets runs Dijkstra from s under weight w until every vertex
+// in targets is settled and the next queue key exceeds the last
+// target's cost by more than slack, or until the next key exceeds
+// bound; with no targets it settles everything within bound. The
+// search state stays in the engine: SettledCost reads it until the
+// next query. Map matching uses it to read the network distances from
+// one candidate's edge head to the next level's edge tails — and to
+// rebuild the vias to them — without exploring (or copying out)
+// everything within the bound.
+func (e *Engine) SettleTargets(s roadnet.VertexID, w roadnet.Weight, targets []roadnet.VertexID, slack, bound float64) {
 	e.reset()
+	e.pending = append(e.pending[:0], targets...)
+	stop := bound
 	e.see(s, 0, roadnet.NoEdge)
-	out := make(map[roadnet.VertexID]float64)
 	for e.heap.Len() > 0 {
 		ui, du := e.heap.Pop()
-		if du > bound {
+		if du > stop {
 			break
 		}
 		u := roadnet.VertexID(ui)
 		e.settled[u] = e.epoch
 		e.PopCount++
-		out[u] = du
+		if len(e.pending) > 0 {
+			kept := e.pending[:0]
+			for _, t := range e.pending {
+				if t != u {
+					kept = append(kept, t)
+				}
+			}
+			e.pending = kept
+			if len(kept) == 0 {
+				stop = min(stop, du+slack)
+			}
+		}
 		e.relax(u, du, w, nil)
 	}
-	return out
+}
+
+// SettledCost returns the cost of v found by the last SettleTargets
+// search and whether that search settled v.
+func (e *Engine) SettledCost(v roadnet.VertexID) (float64, bool) {
+	if e.settled == nil || e.settled[v] != e.epoch {
+		return 0, false
+	}
+	return e.dist[v], true
 }
 
 // WeightedRoute returns the minimum-cost path under a linear combination

@@ -192,22 +192,35 @@ func TestOneToAllAndBounded(t *testing.T) {
 	if math.Abs(all[35]-(5+5)*100) > 1e-6 {
 		t.Errorf("corner dist = %v", all[35])
 	}
-	bounded := e.BoundedCosts(0, roadnet.DI, 250)
-	for v, d := range bounded {
-		if d > 250+1e-9 {
-			t.Fatalf("bounded returned %v beyond bound", d)
+	// With no targets the search settles exactly the vertices within
+	// the bound, at their true costs.
+	e.SettleTargets(0, roadnet.DI, nil, 0, 250)
+	for v, d := range all {
+		got, ok := e.SettledCost(roadnet.VertexID(v))
+		if ok != (d <= 250) {
+			t.Fatalf("vertex %d (d=%v): settled=%v", v, d, ok)
 		}
-		if math.Abs(all[v]-d) > 1e-9 {
-			t.Fatalf("bounded cost mismatch at %d: %v vs %v", v, d, all[v])
+		if ok && math.Abs(got-d) > 1e-9 {
+			t.Fatalf("bounded cost mismatch at %d: %v vs %v", v, got, d)
 		}
 	}
-	// Everything within the bound must be present.
+	// With targets it stops once the farthest target is settled (plus
+	// the slack), well inside the bound.
+	targets := []roadnet.VertexID{1, 2, 6} // d = 100, 200, 100
+	e.SettleTargets(0, roadnet.DI, targets, 1e-6, 1000)
 	for v, d := range all {
-		if d <= 250 {
-			if _, ok := bounded[roadnet.VertexID(v)]; !ok {
-				t.Fatalf("vertex %d (d=%v) missing from bounded set", v, d)
-			}
+		_, ok := e.SettledCost(roadnet.VertexID(v))
+		if ok != (d <= 200) {
+			t.Fatalf("targeted search: vertex %d (d=%v) settled=%v", v, d, ok)
 		}
+	}
+	// A target beyond the bound leaves the search at the bound.
+	e.SettleTargets(0, roadnet.DI, []roadnet.VertexID{35}, 1e-6, 250)
+	if _, ok := e.SettledCost(35); ok {
+		t.Fatal("target beyond the bound was settled")
+	}
+	if _, ok := e.SettledCost(2); !ok {
+		t.Fatal("vertex within the bound was not settled")
 	}
 }
 

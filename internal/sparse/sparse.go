@@ -56,6 +56,17 @@ func New(n int, coords []Coord) *Matrix {
 	return m
 }
 
+// FromCSR wraps CSR arrays as an n×n Matrix without copying them: row
+// i holds the entries rowPtr[i]..rowPtr[i+1]-1 of colIdx and vals, with
+// strictly increasing columns. The caller must not modify the arrays
+// afterwards.
+func FromCSR(n int, rowPtr, colIdx []int32, vals []float64) *Matrix {
+	if len(rowPtr) != n+1 || len(colIdx) != len(vals) || int(rowPtr[n]) != len(vals) {
+		panic(fmt.Sprintf("sparse.FromCSR: n=%d, %d row pointers, %d columns, %d values", n, len(rowPtr), len(colIdx), len(vals)))
+	}
+	return &Matrix{n: n, rowPtr: rowPtr, colIdx: colIdx, vals: vals}
+}
+
 // Dim returns the matrix dimension n.
 func (m *Matrix) Dim() int { return m.n }
 
@@ -207,50 +218,6 @@ func CG(a *Matrix, x, b []float64, tol float64, maxIter int) SolveResult {
 	res.Residual = math.Sqrt(rs) / bn
 	if res.Residual < tol {
 		res.Converged = true
-	}
-	return res
-}
-
-// Jacobi solves A·x = b with Jacobi iteration, overwriting x. A must have
-// a nonzero diagonal. Kept alongside CG because the paper cites both; the
-// ablation bench compares them.
-func Jacobi(a *Matrix, x, b []float64, tol float64, maxIter int) SolveResult {
-	n := a.Dim()
-	d := a.Diag()
-	next := make([]float64, n)
-	bn := Norm2(b)
-	if bn == 0 {
-		bn = 1
-	}
-	res := SolveResult{}
-	for res.Iterations = 0; res.Iterations < maxIter; res.Iterations++ {
-		for i := 0; i < n; i++ {
-			var s float64
-			for k := a.rowPtr[i]; k < a.rowPtr[i+1]; k++ {
-				j := int(a.colIdx[k])
-				if j != i {
-					s += a.vals[k] * x[j]
-				}
-			}
-			next[i] = (b[i] - s) / d[i]
-		}
-		copy(x, next)
-		// Residual check every few sweeps to amortize the extra MulVec.
-		if res.Iterations%4 == 3 || res.Iterations == maxIter-1 {
-			a.MulVec(next, x)
-			var rr float64
-			for i := range next {
-				diff := b[i] - next[i]
-				rr += diff * diff
-			}
-			res.Residual = math.Sqrt(rr) / bn
-			if res.Residual < tol {
-				res.Converged = true
-				res.Iterations++
-				return res
-			}
-			copy(next, x) // restore scratch; next sweep overwrites anyway
-		}
 	}
 	return res
 }

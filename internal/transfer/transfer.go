@@ -7,18 +7,6 @@ import (
 	"repro/internal/sparse"
 )
 
-// Solver selects the iterative method for Eq. 3. The paper cites both
-// Jacobi and conjugate gradient; CG is the default and an ablation bench
-// compares them.
-type Solver uint8
-
-// Solvers.
-const (
-	CG Solver = iota
-	Jacobi
-	GaussSeidel
-)
-
 // Config tunes the transduction learning.
 type Config struct {
 	// AMR is the adjacency-matrix reduction threshold (paper default
@@ -27,9 +15,8 @@ type Config struct {
 	// Mu1 weighs the Laplacian smoothing term of Eq. 2, Mu2 the L2
 	// regularizer.
 	Mu1, Mu2 float64
-	// Solver selects CG (default) or Jacobi.
-	Solver Solver
-	// Tol and MaxIter bound the iterative solve.
+	// Tol and MaxIter bound the iterative solve, per column: it stops
+	// once the relative residual drops below Tol.
 	Tol     float64
 	MaxIter int
 	// NullTol is the minimum propagated master probability below which
@@ -40,7 +27,7 @@ type Config struct {
 // DefaultConfig returns the configuration used in the paper's main
 // experiments (amr = 0.7).
 func DefaultConfig() Config {
-	return Config{AMR: 0.7, Mu1: 1.0, Mu2: 0.01, Solver: CG, Tol: 1e-8, MaxIter: 2000, NullTol: 1e-4}
+	return Config{AMR: 0.7, Mu1: 1.0, Mu2: 0.01, Tol: 1e-8, MaxIter: 2000, NullTol: 1e-4}
 }
 
 // Labeled is one training example: a region edge index (into
@@ -63,7 +50,9 @@ type Result struct {
 	Yhat [][]float64
 	// EdgeOrder maps Yhat row -> region-edge ID.
 	EdgeOrder []int
-	// SolveIterations sums solver iterations across the p columns.
+	// SolveIterations sums, over the p columns, the iterations each
+	// column ran in the block solve before it converged (or hit
+	// MaxIter).
 	SolveIterations int
 }
 
@@ -105,76 +94,28 @@ func Run(g *region.Graph, labeled []Labeled, targets []int, cfg Config) Result {
 	n := len(order)
 	p := NumColumns()
 
-	// Features and thresholded adjacency matrix M.
 	feats := make([]Features, n)
 	for i, id := range order {
 		feats[i] = EdgeFeatures(g, g.Edges[id])
 	}
-	var coords []sparse.Coord
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			s := ReSim(feats[i], feats[j])
-			if s >= cfg.AMR {
-				coords = append(coords,
-					sparse.Coord{Row: i, Col: j, Val: s},
-					sparse.Coord{Row: j, Col: i, Val: s})
-			}
-		}
-	}
-	adj := sparse.New(n, coords)
-	lap := sparse.Laplacian(adj)
+	a := systemMatrix(feats, len(labeled), cfg)
 
-	// S: diagonal indicator of labeled rows.
-	sCoords := make([]sparse.Coord, len(labeled))
-	for i := range labeled {
-		sCoords[i] = sparse.Coord{Row: i, Col: i, Val: 1}
-	}
-	sMat := sparse.New(n, sCoords)
-
-	// System matrix A = S + µ1·L + µ2·I (Eq. 3, left side).
-	a := sparse.AddScaled(sMat, cfg.Mu1, lap, cfg.Mu2)
-
-	// Y: initial labels.
-	y := make([][]float64, n)
-	for i := range y {
-		y[i] = make([]float64, p)
-	}
+	// Solve A·Ŷ = S·Y for all p columns at once; only labeled rows of
+	// S·Y are nonzero.
+	sy := make([]float64, n*p)
 	for i, l := range labeled {
 		for _, c := range Encode(l.Pref) {
-			y[i][c] = 1
+			sy[i*p+c] = 1
 		}
 	}
-
-	// Solve per column: A·Ŷ·x = S·Y·x.
+	x, cols := sparse.BlockPCG(a, sy, p, cfg.Tol, cfg.MaxIter)
+	iters := 0
+	for _, res := range cols {
+		iters += res.Iterations
+	}
 	yhat := make([][]float64, n)
 	for i := range yhat {
-		yhat[i] = make([]float64, p)
-	}
-	b := make([]float64, n)
-	x := make([]float64, n)
-	iters := 0
-	for c := 0; c < p; c++ {
-		for i := 0; i < n; i++ {
-			b[i] = 0
-			x[i] = 0
-		}
-		// S·Y·x: only labeled rows contribute.
-		for i := range labeled {
-			b[i] = y[i][c]
-		}
-		var res sparse.SolveResult
-		switch cfg.Solver {
-		case Jacobi:
-			res = sparse.Jacobi(a, x, b, cfg.Tol, cfg.MaxIter)
-		case GaussSeidel:
-			res = sparse.GaussSeidel(a, x, b, cfg.Tol, cfg.MaxIter)
-		default:
-			res = sparse.CG(a, x, b, cfg.Tol, cfg.MaxIter)
-		}
-		iters += res.Iterations
-		for i := 0; i < n; i++ {
-			yhat[i][c] = x[i]
-		}
+		yhat[i] = x[i*p : (i+1)*p : (i+1)*p]
 	}
 
 	out := Result{
@@ -198,6 +139,64 @@ func Run(g *region.Graph, labeled []Labeled, targets []int, cfg Config) Result {
 		}
 	}
 	return out
+}
+
+// systemMatrix assembles the Eq. 3 system A = S + µ1·L + µ2·I straight
+// into CSR, for edges with features feats of which the first nLabeled
+// are labeled. L = D − M is the Laplacian of the similarity graph M:
+// every pair with reSim ≥ amr, weighted by its similarity.
+func systemMatrix(feats []Features, nLabeled int, cfg Config) *sparse.Matrix {
+	n := len(feats)
+	// The pair scan yields each row's neighbours in ascending column
+	// order: those below the diagonal (from earlier rows' scans), then
+	// those above it.
+	type pair struct {
+		i, j int32
+		sim  float64
+	}
+	var pairs []pair
+	below := make([]int32, n) // neighbours below the diagonal, per row
+	rowPtr := make([]int32, n+1)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if s := ReSim(feats[i], feats[j]); s >= cfg.AMR {
+				pairs = append(pairs, pair{int32(i), int32(j), s})
+				below[j]++
+				rowPtr[i+1]++
+				rowPtr[j+1]++
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		rowPtr[i+1] += rowPtr[i] + 1 // + the diagonal
+	}
+	nnz := rowPtr[n]
+	colIdx := make([]int32, nnz)
+	vals := make([]float64, nnz)
+	next := make([]int32, n) // next free slot per row
+	copy(next, rowPtr[:n])
+	deg := make([]float64, n)
+	put := func(row, col int32, sim float64) {
+		if next[row] == rowPtr[row]+below[row] {
+			next[row]++ // skip the diagonal's slot
+		}
+		colIdx[next[row]], vals[next[row]] = col, -cfg.Mu1*sim
+		deg[row] += sim
+		next[row]++
+	}
+	for _, pr := range pairs {
+		put(pr.i, pr.j, pr.sim)
+		put(pr.j, pr.i, pr.sim)
+	}
+	for i := 0; i < n; i++ {
+		d := rowPtr[i] + below[i]
+		s := 0.0
+		if i < nLabeled {
+			s = 1
+		}
+		colIdx[d], vals[d] = int32(i), s+cfg.Mu1*deg[i]+cfg.Mu2
+	}
+	return sparse.FromCSR(n, rowPtr, colIdx, vals)
 }
 
 // AdjacencyDensity reports, for diagnostics and the Fig. 9(b)

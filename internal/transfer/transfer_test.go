@@ -174,21 +174,26 @@ func TestRunImpossibleAMRGivesNull(t *testing.T) {
 	}
 }
 
+// TestRunJacobiMatchesCG checks the Jacobi-preconditioned block solve
+// against the reference unpreconditioned per-column CG: same decoded
+// preferences and Null set, and Ŷ within the solve tolerance.
 func TestRunJacobiMatchesCG(t *testing.T) {
 	_, rg := transferWorld(t)
 	tEdge := rg.FindEdge(0, 1)
-	bEdge := rg.FindEdge(2, 3)
 	planted := pref.Preference{Master: roadnet.TT, Slave: pref.SlaveOf(roadnet.Primary)}
 	labeled := []Labeled{{EdgeID: tEdge.ID, Pref: planted}}
-
-	cgCfg := DefaultConfig()
-	jaCfg := DefaultConfig()
-	jaCfg.Solver = Jacobi
-	jaCfg.MaxIter = 20000
-	a := Run(rg, labeled, []int{bEdge.ID}, cgCfg)
-	b := Run(rg, labeled, []int{bEdge.ID}, jaCfg)
-	if a.Pref[bEdge.ID] != b.Pref[bEdge.ID] {
-		t.Fatalf("CG %v != Jacobi %v", a.Pref[bEdge.ID], b.Pref[bEdge.ID])
+	var targets []int
+	for _, e := range rg.Edges {
+		if e.ID != tEdge.ID {
+			targets = append(targets, e.ID)
+		}
+	}
+	for _, amr := range []float64{0.3, 0.7} {
+		cfg := DefaultConfig()
+		cfg.AMR = amr
+		got := Run(rg, labeled, targets, cfg)
+		want := referenceRun(rg, labeled, targets, cfg)
+		assertSameTransfer(t, got, want)
 	}
 }
 
@@ -269,22 +274,4 @@ func (f *testFinder) FastestPath(s, d roadnet.VertexID) (roadnet.Path, bool) {
 	f.fastCalls++
 	path, _, ok := f.eng.Fastest(s, d)
 	return path, ok
-}
-
-func TestRunGaussSeidelMatchesCG(t *testing.T) {
-	_, rg := transferWorld(t)
-	tEdge := rg.FindEdge(0, 1)
-	bEdge := rg.FindEdge(2, 3)
-	planted := pref.Preference{Master: roadnet.TT, Slave: pref.SlaveOf(roadnet.Primary)}
-	labeled := []Labeled{{EdgeID: tEdge.ID, Pref: planted}}
-
-	cgCfg := DefaultConfig()
-	gsCfg := DefaultConfig()
-	gsCfg.Solver = GaussSeidel
-	gsCfg.MaxIter = 20000
-	a := Run(rg, labeled, []int{bEdge.ID}, cgCfg)
-	b := Run(rg, labeled, []int{bEdge.ID}, gsCfg)
-	if a.Pref[bEdge.ID] != b.Pref[bEdge.ID] {
-		t.Fatalf("CG %v != GaussSeidel %v", a.Pref[bEdge.ID], b.Pref[bEdge.ID])
-	}
 }
