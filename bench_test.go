@@ -466,19 +466,21 @@ func min(a, b int) int {
 
 // --- Extension benches -------------------------------------------------------
 
-// BenchmarkAblationCH compares contraction-hierarchy queries against
-// plain Dijkstra on the bench world (the paper's deferred speed-up).
+// BenchmarkAblationCH compares contraction-hierarchy cost queries (a
+// travel-time metric customized over the CCH topology) against plain
+// Dijkstra on the bench world (the paper's deferred speed-up).
 func BenchmarkAblationCH(b *testing.B) {
 	w := benchWorld(b)
 	b.Log(exp.CHSpeedup(w))
-	h := ch.Build(w.Road, roadnet.TT, ch.Config{})
-	q := ch.NewQuery(h)
+	topo := ch.BuildTopology(w.Road)
+	m := topo.Customize(func(e roadnet.EdgeID) float64 { return w.Road.EdgeWeight(e, roadnet.TT) })
+	q := ch.NewMetricQuery(topo)
 	eng := route.NewEngine(w.Road)
 	qs := benchQueries(b)
 	b.Run("CH", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			p := qs[i%len(qs)]
-			q.Cost(p.S, p.D)
+			q.Cost(m, p.S, p.D)
 		}
 	})
 	b.Run("Dijkstra", func(b *testing.B) {
@@ -633,7 +635,7 @@ func BenchmarkServe(b *testing.B) {
 	w := benchWorld(b)
 	r := w.MustRouter()
 	chRouter := r.DeepClone()
-	chRouter.EnableCH(ch.Config{})
+	chRouter.EnableCH()
 	qs := benchQueries(b)
 
 	// Pre-draw a deterministic Zipf-ranked index stream: rank 0 (the
@@ -940,7 +942,7 @@ func BenchmarkCustomize(b *testing.B) {
 func BenchmarkSwapCost(b *testing.B) {
 	w := benchWorld(b)
 	r := w.MustRouter().DeepClone()
-	r.EnableCH(ch.Config{})
+	r.EnableCH()
 	batch := w.Test
 	if len(batch) > 20 {
 		batch = batch[:20]
@@ -981,7 +983,7 @@ func BenchmarkSwapCost(b *testing.B) {
 func BenchmarkRouteP99(b *testing.B) {
 	w := benchWorld(b)
 	r := w.MustRouter().DeepClone()
-	r.EnableCH(ch.Config{})
+	r.EnableCH()
 	single := r.Clone()
 	qs := benchQueries(b)
 	lat := make([]time.Duration, 0, b.N)

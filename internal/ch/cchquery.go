@@ -67,6 +67,13 @@ func (s *cchSide) set(v int32, d float64, parent, k int32) {
 	s.parc[v] = k
 }
 
+// peek returns the minimum entry without removing it.
+func peek(pq *container.IndexedMinHeap) (int, float64) {
+	id, p := pq.Pop()
+	pq.Push(id, p)
+	return id, p
+}
+
 // NewMetricQuery allocates a query context for t.
 func NewMetricQuery(t *Topology) *MetricQuery {
 	n := len(t.rank)

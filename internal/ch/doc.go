@@ -1,29 +1,27 @@
-// Package ch implements contraction hierarchies — the speed-up
-// technique the paper cites as reference [16] and names as the way to
-// accelerate all compared routing algorithms consistently (Section
-// VII-C) — in two flavors sharing one query discipline (bidirectional
-// upward search, flat CSR arc arrays, shortcut unpacking):
+// Package ch implements customizable contraction hierarchies (CCH) —
+// the speed-up technique the paper cites as reference [16] and names as
+// the way to accelerate all compared routing algorithms consistently
+// (Section VII-C) — after Dibbelt, Strasser and Wagner's Customizable
+// Contraction Hierarchies (BuildTopology / Topology / Metric /
+// MetricQuery).
 //
-// Legacy CH (Build / Hierarchy / Query, Geisberger et al., WEA 2008)
-// couples contraction to one weight function: witness searches prune
-// shortcuts the metric makes redundant, so preprocessing must be redone
-// from scratch whenever edge costs change.
+// A classic contraction hierarchy couples contraction to one weight
+// function: witness searches prune shortcuts the metric makes
+// redundant, so preprocessing must be redone whenever edge costs
+// change. CCH splits that pipeline at the metric boundary.
+// BuildTopology contracts the road network once, metric-independently —
+// no witness searches, every potential shortcut kept — producing a fixed
+// skeleton of undirected arcs in flat CSR int32 arrays. Metric.Customize
+// then assigns both directed weights to every skeleton arc for an
+// arbitrary non-negative edge-cost function by relaxing lower triangles
+// bottom-up in contraction order: one linear pass over the skeleton,
+// milliseconds where re-contraction costs seconds. Routing preferences,
+// live traffic weights and custom cost functions each become just
+// another Metric over the shared Topology, and MetricQuery answers any
+// of them with a bidirectional upward search from one reusable
+// per-goroutine scratch (epoch-reset arrays, no per-query allocation),
+// unpacking shortcuts back to road-network vertices.
 //
-// Customizable CH (BuildTopology / Topology / Metric / MetricQuery,
-// after Dibbelt, Strasser and Wagner's Customizable Contraction
-// Hierarchies) splits that pipeline at the metric boundary. BuildTopology
-// contracts the road network once, metric-independently — no witness
-// searches, every potential shortcut kept — producing a fixed skeleton
-// of undirected arcs in flat CSR int32 arrays. Metric.Customize then
-// assigns both directed weights to every skeleton arc for an arbitrary
-// non-negative edge-cost function by relaxing lower triangles bottom-up
-// in contraction order: one linear pass over the skeleton, milliseconds
-// where re-contraction costs seconds. Routing preferences, live traffic
-// weights and custom cost functions each become just another Metric over
-// the shared Topology, and MetricQuery answers any of them from one
-// reusable per-goroutine scratch (epoch-reset arrays, no per-query
-// allocation).
-//
-// Both flavors return exactly Dijkstra's costs; property tests in this
-// package pin CCH ≡ legacy CH ≡ Dijkstra equivalence.
+// Queries return exactly Dijkstra's costs; property tests in this
+// package pin CCH ≡ Dijkstra equivalence.
 package ch

@@ -10,10 +10,10 @@ import (
 // Topology is the metric-independent half of a customizable contraction
 // hierarchy (CCH, Dibbelt/Strasser/Wagner): a contraction order plus the
 // shortcut skeleton that order induces, contracted once per road network
-// and then reused for every weight function. Unlike the weight-coupled
-// Hierarchy, contraction keeps every potential shortcut (no witness
-// searches — witnesses depend on the metric), so the skeleton is valid
-// for any non-negative edge costs; Customize fills in the weights.
+// and then reused for every weight function. Contraction keeps every
+// potential shortcut (no witness searches — witnesses depend on the
+// metric), so the skeleton is valid for any non-negative edge costs;
+// Customize fills in the weights.
 //
 // The skeleton is stored as a flat CSR over int32 arrays. Each
 // undirected skeleton edge {a, b} with rank(a) < rank(b) is owned by its
@@ -38,6 +38,12 @@ type Topology struct {
 
 	shortcuts int // skeleton arcs with no original edge in either direction
 }
+
+// Config is the preprocessing configuration route.BuildCHEngine
+// accepts. Contraction is metric-independent and has nothing to tune,
+// so it is empty; the type stays only because the benchmark module
+// (perfbench) passes one to BuildCHEngine.
+type Config struct{}
 
 // BuildTopology contracts g once, metric-independently: vertices are
 // ordered by a greedy edge-difference heuristic and every pair of
@@ -71,7 +77,7 @@ func BuildTopology(g *roadnet.Graph) *Topology {
 
 	// Greedy contraction by fill-in minus degree plus a depth term —
 	// the classic edge-difference priority without the witness term,
-	// with lazy priority updates exactly as in the legacy Build.
+	// with lazy priority updates.
 	prio := func(v int32) float64 {
 		deg := len(nb[v])
 		fill := 0

@@ -3,12 +3,9 @@ package core
 import (
 	"testing"
 
-	"repro/internal/ch"
 	"repro/internal/roadnet"
 	"repro/internal/traj"
 )
-
-func chCfg() ch.Config { return ch.Config{} }
 
 // buildBackendPair builds the same world once per backend.
 func buildBackendPair(t *testing.T) (*roadnet.Graph, *Router, *Router, []*traj.Trajectory) {
@@ -98,13 +95,13 @@ func TestCHBackendSurvivesCloneAndIngest(t *testing.T) {
 		t.Fatal("CH-backed deep clone cannot route after ingest")
 	}
 
-	if d := dij.EnableCH(chCfg()); d <= 0 {
+	if d := dij.EnableCH(); d <= 0 {
 		t.Fatalf("EnableCH build time = %v, want > 0", d)
 	}
 	if dij.PathBackend() != BackendCH {
 		t.Fatal("EnableCH did not swap the backend")
 	}
-	if d := dij.EnableCH(chCfg()); d != 0 {
+	if d := dij.EnableCH(); d != 0 {
 		t.Fatalf("second EnableCH rebuilt the hierarchy (took %v)", d)
 	}
 }

@@ -117,9 +117,6 @@ type Options struct {
 	// at Build time and serves scalar, preference-restricted and
 	// custom-weight queries through per-metric customizations of it).
 	PathBackend PathBackend
-	// CH tunes contraction-hierarchy preprocessing when PathBackend is
-	// BackendCH; the zero value is usable.
-	CH ch.Config
 	// NoMetricPrewarm skips the PrepareMetrics pass at the end of a
 	// BackendCH Build: startup gets cheaper and each metric — the three
 	// scalar weights plus one per distinct learned ⟨master, slave⟩
@@ -510,7 +507,7 @@ func (r *Router) transduce(opt Options) transfer.Result {
 func newPathEngine(road *roadnet.Graph, opt Options, st *Stats) route.PathEngine {
 	if opt.PathBackend == BackendCH {
 		start := time.Now()
-		e := route.BuildCHEngine(road, roadnet.TT, opt.CH)
+		e := route.BuildCHEngine(road, roadnet.TT, ch.Config{})
 		st.CHBuildTime = time.Since(start)
 		st.CHShortcuts = e.Shortcuts()
 		return e
@@ -526,18 +523,20 @@ func (r *Router) PathBackend() PathBackend {
 	return BackendDijkstra
 }
 
-// EnableCH swaps the router's path engine for a CH-backed one, building
-// the travel-time contraction hierarchy over the road network. It is
+// EnableCH swaps the router's path engine for a CH-backed one: it
+// contracts the metric-independent CCH topology over the road network
+// (contraction has nothing to tune, so there is no configuration) and
+// customizes every metric the router routes on (PrepareMetrics). It is
 // meant for routers restored with Load — artifacts carry no hierarchy —
 // and is a no-op when the router is already CH-backed. It must not be
 // called concurrently with queries; Clones made afterwards share the
 // hierarchy. The build time is returned (and recorded in Stats).
-func (r *Router) EnableCH(cfg ch.Config) time.Duration {
+func (r *Router) EnableCH() time.Duration {
 	if r.PathBackend() == BackendCH {
 		return 0
 	}
 	start := time.Now()
-	e := route.BuildCHEngine(r.road, roadnet.TT, cfg)
+	e := route.BuildCHEngine(r.road, roadnet.TT, ch.Config{})
 	r.stats.CHBuildTime = time.Since(start)
 	r.stats.CHShortcuts = e.Shortcuts()
 	r.eng = e

@@ -89,6 +89,19 @@ func TestCHSpeedup(t *testing.T) {
 	if !strings.Contains(out, "speedup") {
 		t.Fatalf("rendered output malformed:\n%s", out)
 	}
+	// The table has one column per CHRow measurement: every row must
+	// line up with the header (weight, shortcuts, build, CH, Dijkstra,
+	// speedup).
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	header := lines[len(lines)-4]
+	if got := strings.Fields(header); len(got) != 6 || got[3] != "CH/query" || got[4] != "Dijk/query" {
+		t.Fatalf("header %q, want 6 columns with CH/query and Dijk/query", header)
+	}
+	for _, l := range lines[len(lines)-3:] {
+		if n := len(strings.Fields(l)); n != 6 {
+			t.Fatalf("row %q has %d columns, want 6", l, n)
+		}
+	}
 }
 
 func TestAblationMu(t *testing.T) {

@@ -145,11 +145,11 @@ func NewCHEngine(g *roadnet.Graph, topo *ch.Topology, w roadnet.Weight) *CHEngin
 }
 
 // BuildCHEngine contracts the CCH topology for g and customizes the
-// base metric for w. Contraction is metric-independent, so cfg's
-// witness-search tuning is accepted for compatibility but unused.
-// Build once, Fork per goroutine.
-func BuildCHEngine(g *roadnet.Graph, w roadnet.Weight, cfg ch.Config) *CHEngine {
-	_ = cfg
+// base metric for w. Build once, Fork per goroutine. Contraction is
+// metric-independent and has nothing to tune: ch.Config is empty, and
+// the parameter stays only because the benchmark module (perfbench)
+// calls BuildCHEngine with it.
+func BuildCHEngine(g *roadnet.Graph, w roadnet.Weight, _ ch.Config) *CHEngine {
 	return NewCHEngine(g, ch.BuildTopology(g), w)
 }
 

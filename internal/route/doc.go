@@ -3,12 +3,13 @@
 //
 // # Searches
 //
-// The package provides plain Dijkstra under any scalar weight
-// (shortest, fastest, most fuel-efficient paths), the paper's
-// preference-aware modified Dijkstra (Algorithm 2), and a
-// stop-condition variant used by the unified routing procedure
-// (Section VI, Case 2) to find the first region reached from an
-// out-of-region endpoint.
+// The package provides two engines. Engine is plain Dijkstra under any
+// scalar weight (shortest, fastest, most fuel-efficient paths) or custom
+// cost function, plus the paper's preference-aware modified Dijkstra
+// (Algorithm 2); it is the executable specification of Algorithm 2 and
+// the oracle the hierarchy is tested against, and its target-bounded
+// SettleTargets serves map matching. CHEngine serves the same queries
+// on a customizable contraction hierarchy in production.
 //
 // # The PathEngine seam
 //

@@ -28,10 +28,6 @@ type Engine struct {
 	pending []roadnet.VertexID // SettleTargets' unsettled targets
 
 	heap *container.IndexedMinHeap
-
-	// PopCount accumulates the number of heap pops across queries; the
-	// evaluation harness reads it to report search effort.
-	PopCount int64
 }
 
 // NewEngine returns an Engine for g. Query buffers are allocated on
@@ -134,7 +130,6 @@ func (e *Engine) RoutePref(s, d roadnet.VertexID, w roadnet.Weight, slave SlaveP
 		ui, du := e.heap.Pop()
 		u := roadnet.VertexID(ui)
 		e.settled[u] = e.epoch
-		e.PopCount++
 		if u == d {
 			return e.extractPath(d), du, true
 		}
@@ -172,26 +167,6 @@ func (e *Engine) relax(u roadnet.VertexID, du float64, w roadnet.Weight, slave S
 	}
 }
 
-// RouteUntil runs Dijkstra under weight w from s until the first vertex
-// satisfying stop is settled, returning the path to it. If s itself
-// satisfies stop it is returned immediately. The boolean is false when no
-// satisfying vertex is reachable.
-func (e *Engine) RouteUntil(s roadnet.VertexID, w roadnet.Weight, stop func(roadnet.VertexID) bool) (roadnet.Path, float64, bool) {
-	e.reset()
-	e.see(s, 0, roadnet.NoEdge)
-	for e.heap.Len() > 0 {
-		ui, du := e.heap.Pop()
-		u := roadnet.VertexID(ui)
-		e.settled[u] = e.epoch
-		e.PopCount++
-		if stop(u) {
-			return e.extractPath(u), du, true
-		}
-		e.relax(u, du, w, nil)
-	}
-	return nil, math.Inf(1), false
-}
-
 // OneToAll computes minimum costs from s to every reachable vertex under
 // weight w. The returned slice is indexed by vertex and holds +Inf for
 // unreachable vertices. It is a fresh allocation; the engine's buffers
@@ -207,49 +182,10 @@ func (e *Engine) OneToAll(s roadnet.VertexID, w roadnet.Weight) []float64 {
 		ui, du := e.heap.Pop()
 		u := roadnet.VertexID(ui)
 		e.settled[u] = e.epoch
-		e.PopCount++
 		out[u] = du
 		e.relax(u, du, w, nil)
 	}
 	return out
-}
-
-// ReverseRouteUntil runs Dijkstra backwards from d over in-edges under
-// weight w until the first vertex satisfying stop is settled. It returns
-// the path oriented forward, i.e. from the stop vertex to d. The unified
-// routing procedure uses it to find the region nearest to an
-// out-of-region destination.
-func (e *Engine) ReverseRouteUntil(d roadnet.VertexID, w roadnet.Weight, stop func(roadnet.VertexID) bool) (roadnet.Path, float64, bool) {
-	e.reset()
-	e.see(d, 0, roadnet.NoEdge)
-	for e.heap.Len() > 0 {
-		ui, du := e.heap.Pop()
-		u := roadnet.VertexID(ui)
-		e.settled[u] = e.epoch
-		e.PopCount++
-		if stop(u) {
-			// parent edges point toward d; walk them forward.
-			path := roadnet.Path{u}
-			v := u
-			for {
-				pe := e.parent[v]
-				if pe == roadnet.NoEdge {
-					break
-				}
-				v = e.g.Edge(pe).To
-				path = append(path, v)
-			}
-			return path, du, true
-		}
-		for _, eid := range e.g.In(u) {
-			ed := e.g.Edge(eid)
-			alt := du + e.g.EdgeWeight(eid, w)
-			if e.settled[ed.From] != e.epoch && alt < e.distOf(ed.From) {
-				e.see(ed.From, alt, eid)
-			}
-		}
-	}
-	return nil, math.Inf(1), false
 }
 
 // SettleTargets runs Dijkstra from s under weight w until every vertex
@@ -273,7 +209,6 @@ func (e *Engine) SettleTargets(s roadnet.VertexID, w roadnet.Weight, targets []r
 		}
 		u := roadnet.VertexID(ui)
 		e.settled[u] = e.epoch
-		e.PopCount++
 		if len(e.pending) > 0 {
 			kept := e.pending[:0]
 			for _, t := range e.pending {
@@ -299,16 +234,6 @@ func (e *Engine) SettledCost(v roadnet.VertexID) (float64, bool) {
 	return e.dist[v], true
 }
 
-// WeightedRoute returns the minimum-cost path under a linear combination
-// of the three scalar weights: cost(e) = a·DI + b·TT + c·FC. The Dom
-// baseline uses it after learning per-driver coefficients.
-func (e *Engine) WeightedRoute(s, d roadnet.VertexID, a, b, c float64) (roadnet.Path, float64, bool) {
-	return e.CustomRoute(s, d, func(eid roadnet.EdgeID) float64 {
-		ed := e.g.Edge(eid)
-		return a*ed.Length + b*ed.TravelTime + c*ed.Fuel
-	})
-}
-
 // CustomRoute runs Dijkstra with an arbitrary non-negative edge cost
 // function.
 func (e *Engine) CustomRoute(s, d roadnet.VertexID, cost func(roadnet.EdgeID) float64) (roadnet.Path, float64, bool) {
@@ -318,7 +243,6 @@ func (e *Engine) CustomRoute(s, d roadnet.VertexID, cost func(roadnet.EdgeID) fl
 		ui, du := e.heap.Pop()
 		u := roadnet.VertexID(ui)
 		e.settled[u] = e.epoch
-		e.PopCount++
 		if u == d {
 			return e.extractPath(d), du, true
 		}

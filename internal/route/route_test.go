@@ -141,46 +141,6 @@ func TestRoutePrefFallsBackWhenSlaveUnsatisfiable(t *testing.T) {
 	}
 }
 
-func TestRouteUntil(t *testing.T) {
-	g := diamond(t)
-	e := NewEngine(g)
-	p, _, ok := e.RouteUntil(0, roadnet.TT, func(v roadnet.VertexID) bool { return v == 3 })
-	if !ok || p[len(p)-1] != 3 {
-		t.Fatalf("RouteUntil path = %v", p)
-	}
-	// Stop immediately if the source satisfies.
-	p, c, ok := e.RouteUntil(0, roadnet.TT, func(v roadnet.VertexID) bool { return true })
-	if !ok || len(p) != 1 || c != 0 {
-		t.Fatalf("immediate stop failed: %v %v", p, c)
-	}
-	// No satisfying vertex.
-	_, _, ok = e.RouteUntil(0, roadnet.TT, func(roadnet.VertexID) bool { return false })
-	if ok {
-		t.Fatal("should not find unreachable condition")
-	}
-}
-
-func TestReverseRouteUntil(t *testing.T) {
-	g := diamond(t)
-	e := NewEngine(g)
-	p, _, ok := e.ReverseRouteUntil(3, roadnet.TT, func(v roadnet.VertexID) bool { return v == 0 })
-	if !ok {
-		t.Fatal("no reverse path")
-	}
-	if p[0] != 0 || p[len(p)-1] != 3 {
-		t.Fatalf("reverse path should run 0..3 forward, got %v", p)
-	}
-	if !p.Valid(g) {
-		t.Fatalf("reverse path invalid: %v", p)
-	}
-	// Forward and reverse agree on cost in this symmetric graph.
-	_, fc, _ := e.Fastest(0, 3)
-	_, rc, _ := e.ReverseRouteUntil(3, roadnet.TT, func(v roadnet.VertexID) bool { return v == 0 })
-	if math.Abs(fc-rc) > 1e-9 {
-		t.Errorf("forward %v != reverse %v", fc, rc)
-	}
-}
-
 func TestOneToAllAndBounded(t *testing.T) {
 	g := roadnet.GenerateGrid(6, 6, 100, roadnet.Tertiary)
 	e := NewEngine(g)
@@ -221,21 +181,6 @@ func TestOneToAllAndBounded(t *testing.T) {
 	}
 	if _, ok := e.SettledCost(2); !ok {
 		t.Fatal("vertex within the bound was not settled")
-	}
-}
-
-func TestWeightedRouteInterpolates(t *testing.T) {
-	g := diamond(t)
-	e := NewEngine(g)
-	// Pure distance weight reproduces Shortest.
-	p, _, _ := e.WeightedRoute(0, 3, 1, 0, 0)
-	if p[1] != 2 {
-		t.Errorf("pure-DI weighted route = %v", p)
-	}
-	// Pure travel-time weight reproduces Fastest.
-	p, _, _ = e.WeightedRoute(0, 3, 0, 1, 0)
-	if p[1] != 1 {
-		t.Errorf("pure-TT weighted route = %v", p)
 	}
 }
 

@@ -123,7 +123,7 @@ func NewDurableEngine(r *core.Router, opt Options) (*Engine, error) {
 			// Checkpoints, like all artifacts, carry no hierarchy;
 			// rebuild it before replay (no-op when base already has
 			// one), so replayed batches relearn on it too.
-			base.EnableCH(e.opt.CH)
+			base.EnableCH()
 		}
 		for _, b := range batches {
 			if opt.replayHook != nil {

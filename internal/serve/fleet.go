@@ -143,7 +143,7 @@ func (f *Fleet) Publish(name string, r *core.Router) (uint64, error) {
 		// built CH-backed. Engine construction would do this for a new
 		// tenant, but Engine.Publish intentionally does not touch the
 		// router.
-		r.EnableCH(f.opt.CH)
+		r.EnableCH()
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()

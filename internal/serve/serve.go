@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/ch"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/roadnet"
@@ -47,10 +46,6 @@ type Options struct {
 	// the hierarchy is immutable and shared by every pool clone and
 	// every ingest swap afterwards.
 	PathBackend core.PathBackend
-	// CH tunes the contraction-hierarchy preprocessing that PathBackend
-	// == core.BackendCH triggers (mirrors core.Options.CH); the zero
-	// value is usable.
-	CH ch.Config
 
 	// WALDir enables durable ingestion: every ingest batch is appended
 	// to a write-ahead log in this directory *before* the snapshot swap
@@ -202,7 +197,7 @@ func NewEngine(r *core.Router, opt Options) *Engine {
 	if opt.PathBackend == core.BackendCH {
 		// One-time preprocessing before the snapshot is published; a
 		// no-op when the router was already built with BackendCH.
-		r.EnableCH(opt.CH)
+		r.EnableCH()
 	}
 	e := newBareEngine(opt)
 	e.publishInitial(r)

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/ch"
 	"repro/internal/quality"
 	"repro/internal/serve"
 	"repro/internal/traj"
@@ -26,7 +25,7 @@ func TestQualityOverheadBudget(t *testing.T) {
 	w := benchWorld(t)
 	r := w.MustRouter()
 	chRouter := r.DeepClone()
-	chRouter.EnableCH(ch.Config{})
+	chRouter.EnableCH()
 	qs := benchQueries(t)
 	trips := w.Test
 	if len(trips) < 8 {

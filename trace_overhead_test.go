@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/ch"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
@@ -23,7 +22,7 @@ func TestTraceOverheadBudget(t *testing.T) {
 	w := benchWorld(t)
 	r := w.MustRouter()
 	chRouter := r.DeepClone()
-	chRouter.EnableCH(ch.Config{})
+	chRouter.EnableCH()
 	qs := benchQueries(t)
 
 	rng := rand.New(rand.NewSource(11))
