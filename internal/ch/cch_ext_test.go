@@ -59,7 +59,7 @@ func TestCostMatchesDijkstra(t *testing.T) {
 		mq := ch.NewMetricQuery(topo)
 		for _, w := range []roadnet.Weight{roadnet.DI, roadnet.TT, roadnet.FC} {
 			m := topo.Customize(func(e roadnet.EdgeID) float64 { return g.EdgeWeight(e, w) })
-			rng := rand.New(rand.NewSource(int64(gi)*1000 + int64(w)))
+			rng := rand.New(rand.NewSource(int64(gi)*100 + int64(w)))
 			for trial := 0; trial < 60; trial++ {
 				s := roadnet.VertexID(rng.Intn(g.NumVertices()))
 				d := roadnet.VertexID(rng.Intn(g.NumVertices()))
@@ -73,6 +73,43 @@ func TestCostMatchesDijkstra(t *testing.T) {
 				}
 				if math.Abs(got-want) > 1e-6*(1+want) {
 					t.Errorf("graph %d w %v (%d->%d): cost cch=%g dijkstra=%g", gi, w, s, d, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestCCHCostMatchesDijkstraAndCH: one topology per graph, customized
+// per weight, must agree with Dijkstra and with the production CH
+// engine (route.CHEngine), which contracts its own topology and
+// customizes through its metric table, on every pair.
+func TestCCHCostMatchesDijkstraAndCH(t *testing.T) {
+	for gi, g := range buildTestGraphs(t) {
+		topo := ch.BuildTopology(g)
+		eng := route.NewEngine(g)
+		mq := ch.NewMetricQuery(topo)
+		for _, w := range []roadnet.Weight{roadnet.DI, roadnet.TT, roadnet.FC} {
+			m := topo.Customize(func(e roadnet.EdgeID) float64 { return g.EdgeWeight(e, w) })
+			che := route.BuildCHEngine(g, w, ch.Config{})
+			rng := rand.New(rand.NewSource(int64(gi)*1000 + int64(w)))
+			for trial := 0; trial < 60; trial++ {
+				s := roadnet.VertexID(rng.Intn(g.NumVertices()))
+				d := roadnet.VertexID(rng.Intn(g.NumVertices()))
+				_, want, okD := eng.Route(s, d, w)
+				got, okC := mq.Cost(m, s, d)
+				_, egot, okE := che.Route(s, d, w)
+				if okD != okC || okD != okE {
+					t.Fatalf("graph %d w %v (%d->%d): reachability cch=%v engine=%v dijkstra=%v",
+						gi, w, s, d, okC, okE, okD)
+				}
+				if !okD {
+					continue
+				}
+				if math.Abs(got-want) > 1e-6*(1+want) {
+					t.Errorf("graph %d w %v (%d->%d): cost cch=%g dijkstra=%g", gi, w, s, d, got, want)
+				}
+				if math.Abs(got-egot) > 1e-6*(1+egot) {
+					t.Errorf("graph %d w %v (%d->%d): cost cch=%g engine=%g", gi, w, s, d, got, egot)
 				}
 			}
 		}
